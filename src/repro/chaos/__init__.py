@@ -32,6 +32,7 @@ from repro.chaos.invariants import (
     Violation,
     assert_fleet_invariants,
     assert_serving_invariants,
+    burst_violations,
     check_admission_conservation,
     check_billed_vs_executed,
     check_breaker_transitions,
@@ -70,6 +71,7 @@ __all__ = [
     "Violation",
     "assert_fleet_invariants",
     "assert_serving_invariants",
+    "burst_violations",
     "check_admission_conservation",
     "check_billed_vs_executed",
     "check_breaker_transitions",

@@ -15,6 +15,7 @@ invariant              statement
 =====================  ==================================================
 admission-conservation arrivals == admitted + shed (exact, integer)
 request-conservation   arrivals == completed + shed + failed after drain
+burst-conservation     completed + lost functions == C on a burst result
 expense-breakdown      every component finite and >= 0; a reported total
                        equals the component sum
 billing-legality       billed seconds >= executed seconds (providers
@@ -342,6 +343,44 @@ def serving_violations(
         out.extend(check_remediation_pairing(result.remediation))
     if tracer is not None:
         out.extend(check_span_nesting(tracer))
+    return out
+
+
+def burst_violations(result: Any, profile: Any) -> list[Violation]:
+    """Every end-of-run invariant applicable to one burst RunResult.
+
+    ``profile`` is the platform profile the burst ran on: its billing
+    fidelity turns each record's executed seconds into billed seconds (the
+    billing model is the one arithmetic for that, so it is not re-derived
+    here).
+    """
+    from repro.platform.billing import BillingFidelity
+
+    fidelity = BillingFidelity.from_profile(profile)
+    out: list[Violation] = []
+    out.extend(
+        check_expense_breakdown(result.expense, reported_total=result.expense.total_usd)
+    )
+    for record in result.records:
+        if record.exec_start is None or record.exec_end is None:
+            continue
+        out.extend(
+            check_billed_vs_executed(
+                fidelity.billed_seconds(record.exec_seconds),
+                record.exec_seconds,
+                time=record.exec_end,
+            )
+        )
+    completed = sum(r.n_packed for r in result.successful_records)
+    if completed + result.lost_functions != result.concurrency:
+        out.append(
+            Violation(
+                "burst-conservation",
+                0.0,
+                f"completed={completed} + lost={result.lost_functions} "
+                f"!= C={result.concurrency}",
+            )
+        )
     return out
 
 

@@ -255,6 +255,10 @@ class BurstDispatchKernel(DispatchKernel):
                     if value is not None:
                         setattr(record, field_name, value - offset)
             self._invoked_at = 0.0
+        # Functions still waiting for a warm wave slot when the simulation
+        # drained never ran: every slot's chain was lost before reuse.
+        self._lost_functions += self._pending_functions
+        self._pending_functions = 0
         billing = BillingModel(self.profile)
         expense = billing.burst_expense(self._records, self.store.usage)
         self._finalize_stats(billing)
