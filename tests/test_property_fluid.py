@@ -107,13 +107,14 @@ def test_clean_burst_takes_fluid_and_equals_event_loop(
 
 
 @st.composite
-def faulted_specs(draw):
-    """Bursts the fluid path must refuse: faults, hedging, or a profile
-    failure rate."""
+def faulted_bursts(draw):
+    """(profile, spec) pairs the fluid path must refuse: faults, hedging,
+    or a profile failure rate."""
+    profile = draw(providers())
     base = draw(clean_specs(max_concurrency=600))
     kind = draw(st.sampled_from(["scenario", "hedge", "profile"]))
     if kind == "profile":
-        return base, {"failure_rate": draw(st.floats(0.01, 0.2))}
+        return profile.with_overrides(failure_rate=draw(st.floats(0.01, 0.2))), base
     scenario = FaultScenario(
         name="differential",
         crash_rate=draw(st.floats(0.0, 0.3)),
@@ -127,23 +128,17 @@ def faulted_specs(draw):
     if kind == "hedge":
         hedged_scenario = draw(st.none() | st.just(scenario))
         hedge = HedgePolicy(trigger_factor=1.5)
-        return replace(base, hedge=hedge, scenario=hedged_scenario), {}
+        return profile, replace(base, hedge=hedge, scenario=hedged_scenario)
     retry = draw(st.none() | st.just(ExponentialBackoffRetry(base_s=0.05)))
-    return replace(base, scenario=scenario, retry_policy=retry), {}
+    return profile, replace(base, scenario=scenario, retry_policy=retry)
 
 
-@given(
-    profile=providers(),
-    faulted=faulted_specs(),
-    seed=st.integers(0, 2**16),
-)
+@given(burst=faulted_bursts(), seed=st.integers(0, 2**16))
 @settings(max_examples=25, deadline=None)
 def test_faulted_burst_falls_back_to_event_loop(
-    profile, faulted, seed, event_loop_only, fluid_reasons
+    burst, seed, event_loop_only, fluid_reasons
 ):
-    spec, profile_overrides = faulted
-    if profile_overrides:
-        profile = profile.with_overrides(**profile_overrides)
+    profile, spec = burst
     with fluid_reasons() as reasons:
         default = _run(profile, spec, seed)
     assert len(reasons) == 1 and reasons[0] is not None
