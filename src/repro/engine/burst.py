@@ -20,7 +20,9 @@ mixed-packing simulator — reuse the identical lifecycle without forking it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -34,7 +36,7 @@ from repro.interference.model import InterferenceModel
 from repro.platform.billing import BillingModel
 from repro.platform.container import ContainerPipeline
 from repro.platform.instance import FunctionInstance
-from repro.platform.metrics import FaultStats, InstanceRecord, RunResult
+from repro.platform.metrics import FaultStats, InstanceRecord, RecordColumns, RunResult
 from repro.platform.providers import PlatformProfile
 from repro.platform.scheduler import PlacementScheduler
 from repro.platform.storage import ObjectStore
@@ -237,49 +239,58 @@ class BurstDispatchKernel(DispatchKernel):
         for t in self.correlated_event_times():
             self.sim.schedule(t, self._correlated_event)
 
-    def collect(self) -> RunResult:
+    def collect(self, columns: Optional[RecordColumns] = None) -> RunResult:
         """Assemble the result after the simulation has drained.
 
-        Timestamps are normalized to the burst's own invocation instant so
-        a burst submitted mid-simulation reports the same metrics as one
-        submitted at t=0.
+        ``columns`` are the burst's records when the caller already holds
+        them column-wise (the fluid replay); by default the event loop's
+        ``_records`` are converted once. Timestamps are normalized to the
+        burst's own invocation instant so a burst submitted mid-simulation
+        reports the same metrics as one submitted at t=0.
         """
+        if columns is None:
+            columns = RecordColumns.from_records(self._records)
         if self._invoked_at:
-            offset = self._invoked_at
-            for record in self._records:
-                record.invoked_at -= offset
-                for field_name in ("sched_done", "built_at", "shipped_at",
-                                   "exec_start", "exec_end"):
-                    value = getattr(record, field_name)
-                    if value is not None:
-                        setattr(record, field_name, value - offset)
+            columns = columns.shifted(self._invoked_at)
             self._invoked_at = 0.0
         # Functions still waiting for a warm wave slot when the simulation
         # drained never ran: every slot's chain was lost before reuse.
         self._lost_functions += self._pending_functions
         self._pending_functions = 0
         billing = BillingModel(self.profile)
-        expense = billing.burst_expense(self._records, self.store.usage)
-        self._finalize_stats(billing)
+        expense = billing.burst_expense(columns, self.store.usage)
+        self._finalize_stats(billing, columns)
         return RunResult(
             platform_name=self.profile.name,
             app_name=self._spec.app.name,
             concurrency=self._spec.concurrency,
             packing_degree=self._spec.packing_degree,
-            records=self._records,
             expense=expense,
             lost_functions=self._lost_functions,
             fault_stats=self._stats,
+            columns=columns,
         )
 
-    def _finalize_stats(self, billing: BillingModel) -> None:
-        for r in self._records:
-            if r.exec_start is None or r.exec_end is None:
-                continue
-            gbs = r.exec_seconds * billing.billed_memory_mb(r.provisioned_mb) / 1024.0
-            self._stats.total_billed_gb_seconds += gbs
-            if r.failed or r.timed_out or r.cancelled:
-                self._stats.wasted_billed_gb_seconds += gbs
+    def _finalize_stats(self, billing: BillingModel, columns: RecordColumns) -> None:
+        """Billed and wasted GB-seconds over the executed records.
+
+        Folded with ``+=`` in record order, the accumulation the totals
+        were defined with, so they stay bit-identical.
+        """
+        executed = ~(np.isnan(columns.exec_start) | np.isnan(columns.exec_end))
+        gbs = (
+            (columns.exec_end[executed] - columns.exec_start[executed])
+            * billing.billed_memory_mb_column(columns.provisioned_mb[executed])
+            / 1024.0
+        )
+        wasted = (columns.failed | columns.timed_out | columns.cancelled)[executed]
+        stats = self._stats
+        stats.total_billed_gb_seconds = reduce(
+            operator.add, gbs.tolist(), stats.total_billed_gb_seconds
+        )
+        stats.wasted_billed_gb_seconds = reduce(
+            operator.add, gbs[wasted].tolist(), stats.wasted_billed_gb_seconds
+        )
 
     def run(self, spec: BurstSpec, image: FunctionImage) -> RunResult:
         """Simulate the burst to completion and return its result.

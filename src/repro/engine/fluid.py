@@ -12,9 +12,10 @@ array/loop work instead of O(instances · ~10) heap events.
 
 Eligibility rules and the draw-order contract are documented in
 ``docs/PERFORMANCE.md``. ``BurstDispatchKernel.run`` offers every burst
-to :func:`try_run_fluid`, which returns the fully materialized
-:class:`RunResult` or ``None`` when :func:`fluid_ineligibility` names a
-reason (the caller then runs the event loop). ``tests/test_fluid_identity.py``
+to :func:`try_run_fluid`, which hands its per-record lists to
+:class:`RecordColumns` and returns the columnar :class:`RunResult`, or
+``None`` when :func:`fluid_ineligibility` names a reason (the caller then
+runs the event loop). ``tests/test_fluid_identity.py``
 and the differential suite ``tests/test_property_fluid.py`` pin the fluid
 result equal to the forced event-loop result.
 
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.platform.billing import BillingModel
-from repro.platform.metrics import InstanceRecord, RunResult
+from repro.platform.metrics import InstanceRecord, RecordColumns, RunResult
 from repro.platform.scheduler import PlacementScheduler
 
 if TYPE_CHECKING:  # annotation-only: avoid a cycle with engine.burst
@@ -349,11 +350,19 @@ def try_run_fluid(
         if enforce and duration > cap_exec:
             end = t + cap_exec
             exec_end[rid] = end
-            record = _make_record(
-                rid, n, invoked[rid], sched_done[rid], built_at[rid],
-                shipped_at[rid], t, end, provisioned, warm_flag[rid],
+            record = InstanceRecord(
+                instance_id=rid,
+                n_packed=n,
+                invoked_at=invoked[rid],
+                sched_done=sched_done[rid],
+                built_at=built_at[rid],
+                shipped_at=shipped_at[rid],
+                exec_start=t,
+                exec_end=end,
+                provisioned_mb=provisioned,
+                warm_start=warm_flag[rid],
+                timed_out=True,
             )
-            record.timed_out = True
             bill = BillingModel(profile)
             billed = bill.instance_compute_usd(record) + profile.per_request_usd
             raise FunctionTimeoutError(
@@ -429,42 +438,20 @@ def try_run_fluid(
     kernel._pending_functions = 0
     kernel.sim._now = makespan  # observational parity with the event path
 
-    records = kernel._records
-    for rid in range(len(npacked)):
-        records.append(
-            _make_record(
-                rid, npacked[rid], invoked[rid], sched_done[rid],
-                built_at[rid], shipped_at[rid], exec_start[rid],
-                exec_end[rid], provisioned, warm_flag[rid],
-            )
-        )
-    return kernel.collect()
-
-
-def _make_record(
-    rid: int,
-    n_packed: int,
-    invoked_at: float,
-    sched_done: float,
-    built_at: float,
-    shipped_at: float,
-    exec_start: float,
-    exec_end: float,
-    provisioned: int,
-    warm: bool,
-) -> InstanceRecord:
-    return InstanceRecord(
-        instance_id=rid,
-        n_packed=n_packed,
-        invoked_at=invoked_at,
+    n_records = len(npacked)
+    columns = RecordColumns(
+        instance_id=np.arange(n_records),
+        n_packed=npacked,
+        invoked_at=invoked,
         sched_done=sched_done,
         built_at=built_at,
         shipped_at=shipped_at,
         exec_start=exec_start,
         exec_end=exec_end,
-        provisioned_mb=provisioned,
-        warm_start=warm,
+        provisioned_mb=np.full(n_records, provisioned),
+        warm_start=warm_flag,
     )
+    return kernel.collect(columns)
 
 
 def _repeat_add(start: float, addend: float, count: int) -> float:

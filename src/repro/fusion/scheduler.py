@@ -25,12 +25,13 @@ exact vs 100 ms-rounded dollars on one set of records.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro.extensions.mixed_sim import MixedBurstSimulator
 from repro.fusion.spec import FusionGroup, FusionPlan
 from repro.platform.billing import BillingModel
-from repro.platform.metrics import ExpenseBreakdown, InstanceRecord, RunResult
+from repro.platform.metrics import ExpenseBreakdown, InstanceRecord, RecordColumns, RunResult
 from repro.platform.providers import PlatformProfile
 from repro.platform.storage import StorageUsage
 
@@ -104,7 +105,7 @@ def _group_for_record(plan_groups: list[FusionGroup], record: InstanceRecord) ->
 
 def attribute_expense(
     plan: FusionPlan,
-    records: list[InstanceRecord],
+    records: Sequence[InstanceRecord],
     storage: StorageUsage,
     billing: BillingModel,
 ) -> tuple[ExpenseBreakdown, tuple[TenantBill, ...]]:
@@ -114,7 +115,7 @@ def attribute_expense(
     footprint share *of that instance*; the run-wide storage and egress
     charges split by I/O footprint (``count × io_mb``) across the plan.
     """
-    expense = billing.burst_expense(records, storage)
+    expense = billing.burst_expense(RecordColumns.from_records(records), storage)
     groups = plan.instance_groups()
 
     compute: dict[str, float] = {}

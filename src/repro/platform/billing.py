@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Union
 
-from repro.platform.metrics import ExpenseBreakdown, InstanceRecord
+import numpy as np
+
+from repro.platform.metrics import ExpenseBreakdown, InstanceRecord, RecordColumns
 from repro.platform.providers import PlatformProfile
 from repro.platform.storage import StorageUsage
 
@@ -92,13 +94,37 @@ class BillingFidelity:
             billed = units * self.granularity_s
         return billed
 
+    def billed_seconds_column(self, exec_seconds: np.ndarray) -> np.ndarray:
+        """:meth:`billed_seconds` over a column, element for element.
+
+        Every step is the scalar schedule's float op applied elementwise
+        (``np.ceil`` yields the same integral value ``math.ceil`` does), so
+        each element equals the scalar result bit for bit. NaN (an attempt
+        that never executed) is rejected along with negative seconds.
+        """
+        seconds = np.asarray(exec_seconds, dtype=np.float64)
+        if not (seconds >= 0.0).all():
+            raise ValueError("executed seconds must be non-negative (and not NaN)")
+        billed = seconds
+        if self.throttle_multiplier != 1.0:
+            billed = billed * self.throttle_multiplier
+        if self.min_billed_s > 0.0:
+            billed = np.where(billed < self.min_billed_s, self.min_billed_s, billed)
+        if self.granularity_s > 0.0:
+            # ``+ 0.0`` turns np.ceil's -0.0 (the ceiling of -1e-9) into the
+            # int 0 math.ceil returns; every other value is unchanged.
+            units = np.ceil(billed / self.granularity_s - 1e-9) + 0.0
+            billed = units * self.granularity_s
+        return billed
+
 
 #: The idealized schedule every seeded golden was recorded under.
 EXACT_BILLING = BillingFidelity()
 
 
 class BillingModel:
-    """Converts run records + storage usage into an expense breakdown."""
+    """Converts run records (or their columns) + storage usage into an
+    expense breakdown."""
 
     def __init__(
         self,
@@ -118,6 +144,14 @@ class BillingModel:
         increments = -(-requested_mb // step)  # ceil division
         return int(increments * step)
 
+    def billed_memory_mb_column(self, requested_mb: np.ndarray) -> np.ndarray:
+        """:meth:`billed_memory_mb` over a column of requests (integer-exact)."""
+        requested = np.asarray(requested_mb, dtype=np.int64)
+        if not (requested > 0).all():
+            raise ValueError("requested memory must be positive")
+        step = self.profile.min_billed_memory_mb
+        return -(-requested // step) * step
+
     def billed_seconds(self, exec_seconds: float) -> float:
         """Executed → billed duration under this model's fidelity."""
         return self.fidelity.billed_seconds(exec_seconds)
@@ -125,6 +159,12 @@ class BillingModel:
     def instance_compute_usd(self, record: InstanceRecord) -> float:
         billed_gb = self.billed_memory_mb(record.provisioned_mb) / 1024.0
         billed_s = self.fidelity.billed_seconds(record.exec_seconds)
+        return billed_s * billed_gb * self.profile.gb_second_usd
+
+    def compute_usd_column(self, columns: RecordColumns) -> np.ndarray:
+        """:meth:`instance_compute_usd` of every record, in the same float ops."""
+        billed_gb = self.billed_memory_mb_column(columns.provisioned_mb) / 1024.0
+        billed_s = self.fidelity.billed_seconds_column(columns.exec_seconds())
         return billed_s * billed_gb * self.profile.gb_second_usd
 
     def keepalive_usd(self, idle_gb_seconds: float) -> float:
@@ -170,11 +210,18 @@ class BillingModel:
 
     def burst_expense(
         self,
-        records: list[InstanceRecord],
+        columns: Union[RecordColumns, Iterable[InstanceRecord]],
         storage: StorageUsage,
     ) -> ExpenseBreakdown:
-        compute = sum(self.instance_compute_usd(r) for r in records)
-        requests = len(records) * self.profile.per_request_usd
+        """Expense of one burst's records (columns, or records converted once).
+
+        Compute is the builtin ``sum`` of the per-instance charges in record
+        order — not ``np.sum`` — so the total matches summing
+        :meth:`instance_compute_usd` record by record on every interpreter.
+        """
+        columns = RecordColumns.from_records(columns)
+        compute = sum(self.compute_usd_column(columns).tolist())
+        requests = len(columns) * self.profile.per_request_usd
         storage_usd = (
             storage.put_requests * self.profile.storage_put_usd
             + storage.get_requests * self.profile.storage_get_usd

@@ -12,12 +12,19 @@ Timing definitions (all relative to the burst invocation instant ``t=0``):
 Expense covers execution GB-seconds, per-request fees, storage operations,
 and (on providers that charge it) networking egress — queueing/scaling delay
 is never billed (paper Sec. 2.3).
+
+A :class:`RunResult` stores its records column-wise (:class:`RecordColumns`);
+``RunResult.records`` is a read-only view that builds fresh
+:class:`InstanceRecord` objects on access (see ``docs/PERFORMANCE.md``,
+"Columnar results").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import operator
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Union
 
 import numpy as np
 
@@ -91,9 +98,10 @@ class InstanceRecord:
         * ``exec`` — ``exec_end - exec_start``.
 
         Warm starts report zero ``sched``/``ship`` (their timestamps
-        coincide by construction). This single definition backs both the
-        telemetry tracer's phase histograms and the burst-level
-        :meth:`RunResult.breakdown`.
+        coincide by construction). This definition backs the telemetry
+        tracer's phase histograms; :meth:`RunResult.breakdown` applies the
+        same formulas column-wise (``tests/test_property_columns.py`` pins
+        the two equal).
         """
         phases: dict[str, float] = {}
         if self.sched_done is not None:
@@ -197,53 +205,329 @@ class FaultStats:
         )
 
 
-@dataclass
+#: The column dtype of every :class:`InstanceRecord` field, in field order.
+#: Times are float64; ints and flags are narrow dtypes.
+_COLUMN_DTYPES: dict[str, type] = {
+    "instance_id": np.int32,
+    "n_packed": np.int32,
+    "invoked_at": np.float64,
+    "sched_done": np.float64,
+    "built_at": np.float64,
+    "shipped_at": np.float64,
+    "exec_start": np.float64,
+    "exec_end": np.float64,
+    "provisioned_mb": np.int32,
+    "warm_start": np.bool_,
+    "attempt": np.int32,
+    "failed": np.bool_,
+    "timed_out": np.bool_,
+    "correlated": np.bool_,
+    "persistent_fault": np.bool_,
+    "hedged": np.bool_,
+    "cancelled": np.bool_,
+    "throttled_attempts": np.int32,
+    "retry_delay_s": np.float64,
+}
+_FIELD_NAMES = tuple(f.name for f in fields(InstanceRecord))
+#: Optional timestamps: NaN in the column stands for ``None`` on a record.
+_OPTIONAL_TIMES = frozenset(
+    {"sched_done", "built_at", "shipped_at", "exec_start", "exec_end"}
+)
+_TIME_COLUMNS = ("invoked_at",) + tuple(
+    name for name in _FIELD_NAMES if name in _OPTIONAL_TIMES
+)
+_DEFAULTS = {f.name: f.default for f in fields(InstanceRecord)}
+#: Records built per step while iterating a :class:`RecordView`.
+_VIEW_CHUNK = 4096
+
+
+class RecordColumns:
+    """Every :class:`InstanceRecord` field of one burst as a numpy column.
+
+    Row ``i`` of every column is record ``i`` (creation order). Times are
+    float64 with NaN standing for ``None``; counts are int32 and flags
+    bool. The arrays are read-only, so a :class:`RunResult` and the views
+    over it can share them safely.
+
+    The constructor takes one keyword per field; ``instance_id`` and
+    ``n_packed`` are required and any other missing field is filled with
+    the :class:`InstanceRecord` default.
+    """
+
+    __slots__ = _FIELD_NAMES
+
+    def __init__(self, **columns) -> None:
+        if "instance_id" not in columns:
+            raise TypeError("RecordColumns needs an instance_id column")
+        n = len(columns["instance_id"])
+        for name in _FIELD_NAMES:
+            dtype = _COLUMN_DTYPES[name]
+            if name in columns:
+                col = np.array(columns.pop(name), dtype=dtype)
+                if col.shape != (n,):
+                    raise ValueError(
+                        f"column {name!r} has shape {col.shape}, expected ({n},)"
+                    )
+            elif _DEFAULTS[name] is not MISSING:
+                # A zero-stride broadcast: a defaulted column costs no memory.
+                col = np.broadcast_to(np.array(_DEFAULTS[name], dtype=dtype), (n,))
+            else:
+                raise TypeError(f"RecordColumns needs a {name} column")
+            col.flags.writeable = False
+            setattr(self, name, col)
+        if columns:
+            raise TypeError(f"unknown record columns: {sorted(columns)}")
+
+    @classmethod
+    def from_records(
+        cls, records: Union["RecordColumns", "RecordView", Iterable[InstanceRecord]]
+    ) -> "RecordColumns":
+        """Convert records once; columns and views pass through uncopied."""
+        if isinstance(records, RecordColumns):
+            return records
+        if isinstance(records, RecordView):
+            return records.columns
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
+        columns: dict[str, object] = {}
+        for name in _FIELD_NAMES:
+            values = map(operator.attrgetter(name), records)
+            if name in _OPTIONAL_TIMES:  # np.array maps None to NaN
+                columns[name] = list(values)
+            else:
+                columns[name] = np.fromiter(
+                    values, dtype=_COLUMN_DTYPES[name], count=len(records)
+                )
+        return cls(**columns)
+
+    def __len__(self) -> int:
+        return len(self.instance_id)
+
+    def __eq__(self, other: object) -> bool:
+        """Bit-exact equality of every column (NaN equals NaN)."""
+        if not isinstance(other, RecordColumns):
+            return NotImplemented
+        return all(
+            _same_bits(getattr(self, name), getattr(other, name))
+            for name in _FIELD_NAMES
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RecordColumns({len(self)} records)"
+
+    def shifted(self, offset: float) -> "RecordColumns":
+        """The same records with ``offset`` subtracted from every time."""
+        columns = {name: getattr(self, name) for name in _FIELD_NAMES}
+        for name in _TIME_COLUMNS:
+            columns[name] = columns[name] - offset
+        return RecordColumns(**columns)
+
+    def materialize(self, index: Union[slice, np.ndarray]) -> list[InstanceRecord]:
+        """Fresh records for the rows ``index`` selects (a slice or index array)."""
+        values = []
+        built: list[tuple[bool, np.ndarray, list]] = []
+        for name in _FIELD_NAMES:
+            col = getattr(self, name)[index]
+            nones = name in _OPTIONAL_TIMES and bool(np.isnan(col).any())
+            # Records share value objects where the columns allow it, as
+            # records built one at a time do (exec_start is the ship
+            # completion instant): a column that repeats an earlier one
+            # reuses its items, and a single-valued column is one object.
+            items = next(
+                (it for n, c, it in built if n == nones and _same_bits(col, c)), None
+            )
+            if items is None:
+                if len(col) and _same_bits(col, np.broadcast_to(col[0], col.shape)):
+                    items = [col[0].item()] * len(col)
+                else:
+                    items = col.tolist()
+                if nones:
+                    items = [None if v != v else v for v in items]
+                built.append((nones, col, items))
+            values.append(items)
+        return list(map(InstanceRecord, *values))
+
+    def present(self, name: str, phase: str) -> np.ndarray:
+        """Time column ``name``, or ``ValueError`` naming the first instance
+        that lacks it, so a missing phase never leaks out as NaN."""
+        return _require(getattr(self, name), self.instance_id, name, phase)
+
+    def exec_seconds(self) -> np.ndarray:
+        """Executed seconds of every record (each must have executed)."""
+        return self.present("exec_end", "exec") - self.present("exec_start", "exec")
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    unsigned = np.dtype(f"u{a.dtype.itemsize}")
+    return bool(np.array_equal(a.view(unsigned), b.view(unsigned)))
+
+
+def _require(
+    values: np.ndarray, instance_ids: np.ndarray, name: str, phase: str
+) -> np.ndarray:
+    missing = np.isnan(values)
+    if missing.any():
+        instance = int(instance_ids[int(np.argmax(missing))])
+        raise ValueError(
+            f"instance {instance} has no {phase!r} phase ({name} is None)"
+        )
+    return values
+
+
+class RecordView(Sequence):
+    """Read-only ``Sequence[InstanceRecord]`` over :class:`RecordColumns`.
+
+    Every access builds fresh records and nothing is cached: ``len`` is
+    O(1) and builds nothing, indexing builds one record, slicing returns a
+    new list, and iteration builds records in chunks. Equal to another
+    view with bit-identical columns, or to any sequence of equal records.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: RecordColumns) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.columns.materialize(index)
+        i = operator.index(index)
+        n = len(self.columns)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("record index out of range")
+        return self.columns.materialize(slice(i, i + 1))[0]
+
+    def __iter__(self) -> Iterator[InstanceRecord]:
+        for start in range(0, len(self.columns), _VIEW_CHUNK):
+            yield from self.columns.materialize(slice(start, start + _VIEW_CHUNK))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordView):
+            return self.columns == other.columns
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RecordView({len(self)} records)"
+
+
+@dataclass(init=False, eq=False)
 class RunResult:
-    """Everything measured from one burst execution."""
+    """Everything measured from one burst execution.
+
+    The per-instance records are stored only as :class:`RecordColumns`;
+    every metric below is computed from the columns. ``RunResult(records=
+    [...])`` converts the records once (``columns=`` takes columns
+    directly). ``records`` is a read-only :class:`RecordView` that builds
+    fresh :class:`InstanceRecord` objects on every access, so mutating a
+    record obtained from it leaves this result and its metrics unchanged.
+    Equality compares the columns bit for bit.
+    """
 
     platform_name: str
     app_name: str
     concurrency: int
     packing_degree: int
-    records: list[InstanceRecord] = field(default_factory=list)
-    expense: ExpenseBreakdown = ZERO_EXPENSE
-    lost_functions: int = 0  # functions whose every retry attempt crashed
-    fault_stats: FaultStats = field(default_factory=FaultStats)
+    columns: RecordColumns
+    expense: ExpenseBreakdown
+    lost_functions: int  # functions whose every retry attempt crashed
+    fault_stats: FaultStats
+
+    def __init__(
+        self,
+        platform_name: str,
+        app_name: str,
+        concurrency: int,
+        packing_degree: int,
+        records: Optional[Iterable[InstanceRecord]] = None,
+        expense: ExpenseBreakdown = ZERO_EXPENSE,
+        lost_functions: int = 0,
+        fault_stats: Optional[FaultStats] = None,
+        *,
+        columns: Optional[RecordColumns] = None,
+    ) -> None:
+        if columns is None:
+            columns = RecordColumns.from_records(records if records is not None else ())
+        elif records is not None:
+            raise TypeError("pass records or columns, not both")
+        self.platform_name = platform_name
+        self.app_name = app_name
+        self.concurrency = concurrency
+        self.packing_degree = packing_degree
+        self.columns = columns
+        self.expense = expense
+        self.lost_functions = lost_functions
+        self.fault_stats = fault_stats if fault_stats is not None else FaultStats()
+
+    def _key(self) -> tuple:
+        return (
+            self.platform_name, self.app_name, self.concurrency,
+            self.packing_degree, self.expense, self.lost_functions,
+            self.fault_stats, self.columns,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # type: ignore[assignment]
 
     # ------------------------------------------------------------------ #
     @property
+    def records(self) -> RecordView:
+        return RecordView(self.columns)
+
+    @property
     def n_instances(self) -> int:
-        return len(self.records)
+        return len(self.columns)
+
+    def _succeeded(self) -> np.ndarray:
+        c = self.columns
+        return ~(c.failed | c.timed_out | c.cancelled)
 
     @property
     def successful_records(self) -> list[InstanceRecord]:
         """Attempts that completed; service metrics are computed over these
         (failed attempts are still billed — see the billing model)."""
-        return [
-            r for r in self.records
-            if not (r.failed or r.timed_out or r.cancelled)
-        ]
+        return self.columns.materialize(np.flatnonzero(self._succeeded()))
 
     @property
     def n_failed_attempts(self) -> int:
-        return sum(1 for r in self.records if r.failed or r.timed_out)
+        c = self.columns
+        return int(np.count_nonzero(c.failed | c.timed_out))
 
     @property
     def observed_failure_rate(self) -> float:
         """Failed attempts per executed attempt (drives adaptive packing)."""
-        executed = [r for r in self.records if r.exec_start is not None]
+        executed = int(np.count_nonzero(~np.isnan(self.columns.exec_start)))
         if not executed:
             return 0.0
-        return self.n_failed_attempts / len(executed)
+        return self.n_failed_attempts / executed
 
     def _starts(self) -> np.ndarray:
-        return np.asarray([r.exec_start for r in self.records], dtype=float)
+        return self.columns.present("exec_start", "exec")
 
     def _ends(self) -> np.ndarray:
-        ok = self.successful_records
-        if not ok:
+        ok = self._succeeded()
+        if not ok.any():
             raise ValueError("no instance completed successfully")
-        return np.asarray([r.exec_end for r in ok], dtype=float)
+        c = self.columns
+        return _require(c.exec_end[ok], c.instance_id[ok], "exec_end", "exec")
 
     @property
     def scaling_time(self) -> float:
@@ -263,26 +547,35 @@ class RunResult:
 
     @property
     def mean_exec_seconds(self) -> float:
-        return float(np.mean([r.exec_seconds for r in self.records]))
+        return float(np.mean(self.columns.exec_seconds()))
 
     @property
     def function_hours(self) -> float:
         """Sum of instance execution times, in hours (paper Fig. 12)."""
-        return float(sum(r.exec_seconds for r in self.records)) / 3600.0
+        # The builtin sum, not np.sum: it is the reduction billing and the
+        # goldens were recorded with (see docs/PERFORMANCE.md).
+        return float(sum(self.columns.exec_seconds().tolist())) / 3600.0
 
     def breakdown(self) -> dict[str, float]:
-        """Mean per-instance scheduling / start-up / shipping delays."""
-        durations = [r.phase_durations() for r in self.records]
+        """Mean per-instance scheduling / start-up / shipping delays
+        (the phases of :meth:`InstanceRecord.phase_durations`)."""
+        c = self.columns
+        sched = c.present("sched_done", "sched")
+        built = c.present("built_at", "build")
+        shipped = c.present("shipped_at", "ship")
+        # Python's max(built, sched): ``built`` unless ``sched`` is larger.
+        ready = np.where(sched > built, sched, built)
         return {
-            "scheduling": float(np.mean([d["sched"] for d in durations])),
-            "startup": float(np.mean([d["build"] for d in durations])),
-            "shipping": float(np.mean([d["ship"] for d in durations])),
+            "scheduling": float(np.mean(sched - c.invoked_at)),
+            "startup": float(np.mean(built - c.invoked_at)),
+            "shipping": float(np.mean(shipped - ready)),
         }
 
     def component_totals(self) -> dict[str, float]:
         """Critical-path view: when each stage finished for the last instance."""
+        c = self.columns
         return {
-            "scheduling": float(max(r.sched_done for r in self.records)),
-            "startup": float(max(r.built_at for r in self.records)),
-            "shipping": float(max(r.shipped_at for r in self.records)),
+            "scheduling": float(c.present("sched_done", "sched").max()),
+            "startup": float(c.present("built_at", "build").max()),
+            "shipping": float(c.present("shipped_at", "ship").max()),
         }

@@ -9,11 +9,17 @@ rounds the result *up*.
 """
 
 import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.platform.billing import EXACT_BILLING, BillingFidelity, BillingModel
-from repro.platform.providers import AWS_LAMBDA
+from repro.platform.metrics import InstanceRecord, RecordColumns
+from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
+from repro.platform.storage import StorageUsage
 
 
 # --------------------------------------------------------------------- #
@@ -161,3 +167,86 @@ def test_default_model_bills_exactly():
 def test_explicit_fidelity_overrides_the_profile():
     model = BillingModel(AWS_LAMBDA, fidelity=BillingFidelity(granularity_s=1.0))
     assert model.billed_seconds(0.2) == pytest.approx(1.0)
+
+
+# --------------------------------------------------------------------- #
+# the column schedule: element-for-element equal to the scalar one
+# --------------------------------------------------------------------- #
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+fidelities = st.builds(
+    BillingFidelity,
+    granularity_s=st.sampled_from([0.0, 0.001, 0.1, 1.0]) | st.floats(1e-4, 5.0),
+    min_billed_s=st.sampled_from([0.0, 0.1, 1.0, 60.0]) | st.floats(0.0, 100.0),
+    throttle_multiplier=st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 4.0),
+)
+#: Exact multiples of the 0.1 s tick and zero, plus arbitrary durations.
+exec_seconds = st.lists(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 60.0, 0.30000000000000004])
+    | st.floats(0.0, 1e5),
+    max_size=50,
+)
+
+
+@given(fidelity=fidelities, seconds=exec_seconds)
+@settings(max_examples=200, deadline=None)
+def test_column_billed_seconds_equals_scalar_elementwise(fidelity, seconds):
+    column = fidelity.billed_seconds_column(np.array(seconds, dtype=np.float64))
+    scalar = [float(fidelity.billed_seconds(s)) for s in seconds]
+    assert _bits(column.tolist()) == _bits(scalar)
+
+
+def test_column_exact_multiples_pay_no_extra_tick():
+    coarse = BillingFidelity(granularity_s=0.1)
+    column = coarse.billed_seconds_column(np.array([0.0, 0.3, 0.2, 0.7]))
+    assert _bits(column.tolist()) == _bits(
+        [coarse.billed_seconds(s) for s in (0.0, 0.3, 0.2, 0.7)]
+    )
+    assert round(column[1] / 0.1) == 3
+
+
+@pytest.mark.parametrize("bad", [-0.1, -1e-12, math.nan])
+@pytest.mark.parametrize(
+    "fidelity", [EXACT_BILLING, BillingFidelity(granularity_s=0.1, min_billed_s=1.0)]
+)
+def test_column_rejects_negative_and_nan_seconds(fidelity, bad):
+    with pytest.raises(ValueError, match="non-negative"):
+        fidelity.billed_seconds_column(np.array([1.0, bad]))
+
+
+def _records(draw_seconds, memories):
+    return [
+        InstanceRecord(i, 1, exec_start=10.0, exec_end=10.0 + s, provisioned_mb=m)
+        for i, (s, m) in enumerate(zip(draw_seconds, memories))
+    ]
+
+
+@given(
+    fidelity=fidelities,
+    seconds=exec_seconds,
+    memories=st.lists(st.integers(1, 10240), min_size=50, max_size=50),
+)
+@settings(max_examples=100, deadline=None)
+def test_burst_expense_over_columns_equals_per_record_sum(fidelity, seconds, memories):
+    records = _records(seconds, memories)
+    storage = StorageUsage(put_requests=3, get_requests=5, transferred_mb=12.5)
+    for profile in (AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS):
+        model = BillingModel(profile, fidelity=fidelity)
+        expense = model.burst_expense(RecordColumns.from_records(records), storage)
+        # The builtin sum over the same per-record charges, on this interpreter.
+        expected = float(sum(model.instance_compute_usd(r) for r in records))
+        assert _bits([expense.compute_usd]) == _bits([expected])
+        assert expense == model.burst_expense(records, storage)
+
+
+def test_burst_expense_rejects_unexecuted_records():
+    model = BillingModel(AWS_LAMBDA)
+    records = [InstanceRecord(0, 1, exec_start=0.0, exec_end=1.0, provisioned_mb=128),
+               InstanceRecord(1, 1, provisioned_mb=128)]
+    with pytest.raises(ValueError, match="instance 1"):
+        model.burst_expense(RecordColumns.from_records(records), StorageUsage())
+    records[1].exec_start, records[1].exec_end = 5.0, 4.0  # negative duration
+    with pytest.raises(ValueError, match="non-negative"):
+        model.burst_expense(RecordColumns.from_records(records), StorageUsage())

@@ -82,3 +82,79 @@ def test_expense_breakdown_addition_and_total():
     c = a + b
     assert c.total_usd == pytest.approx(12.0)
     assert c.compute_usd == 1.5
+
+
+# --------------------------------------------------------------------- #
+# a missing phase is an error naming the instance, never a NaN
+# --------------------------------------------------------------------- #
+def _result_with_gap(field_name):
+    records = [make_record(i, s, e) for i, (s, e) in enumerate([(1.0, 2.0), (3.0, 4.0)])]
+    setattr(records[1], field_name, None)
+    return RunResult("test", "app", 2, 1, records=records)
+
+
+def test_scaling_time_names_instance_without_exec_start():
+    with pytest.raises(ValueError, match=r"instance 1 .*'exec'.*exec_start"):
+        _ = _result_with_gap("exec_start").scaling_time
+
+
+@pytest.mark.parametrize(
+    "field_name, phase",
+    [("sched_done", "sched"), ("built_at", "build"), ("shipped_at", "ship")],
+)
+def test_component_totals_names_instance_and_phase(field_name, phase):
+    with pytest.raises(ValueError, match=rf"instance 1 .*'{phase}'.*{field_name}"):
+        _result_with_gap(field_name).component_totals()
+
+
+@pytest.mark.parametrize(
+    "field_name, phase",
+    [("sched_done", "sched"), ("built_at", "build"), ("shipped_at", "ship")],
+)
+def test_breakdown_names_instance_and_phase(field_name, phase):
+    with pytest.raises(ValueError, match=rf"instance 1 .*'{phase}'.*{field_name}"):
+        _result_with_gap(field_name).breakdown()
+
+
+# --------------------------------------------------------------------- #
+# records is a read-only, uncached view
+# --------------------------------------------------------------------- #
+def test_mutating_a_viewed_record_leaves_the_result_unchanged():
+    result = make_result([(1.0, 5.0), (3.0, 4.0), (2.0, 9.0)])
+    twin = make_result([(1.0, 5.0), (3.0, 4.0), (2.0, 9.0)])
+    before = (result.service_time(), result.scaling_time, result.breakdown(),
+              result.component_totals(), result.function_hours)
+    record = result.records[2]
+    record.exec_end = 1e9
+    record.failed = True
+    for r in result.records:
+        r.exec_start = -1.0
+    result.successful_records[0].exec_end = 1e9
+    assert result.records[2].exec_end == 9.0
+    assert not result.records[2].failed
+    assert (result.service_time(), result.scaling_time, result.breakdown(),
+            result.component_totals(), result.function_hours) == before
+    assert result == twin
+
+
+def test_records_view_is_sized_indexable_and_read_only():
+    result = make_result([(float(i), float(i) + 1.0) for i in range(10_000)])
+    view = result.records
+    assert len(view) == 10_000
+    assert view[-1].instance_id == 9_999
+    assert [r.instance_id for r in view[2:5]] == [2, 3, 4]
+    assert sum(1 for _ in view) == 10_000
+    with pytest.raises(IndexError):
+        _ = view[10_000]
+    assert not hasattr(view, "append")
+    with pytest.raises(ValueError):
+        result.columns.exec_end[0] = 0.0  # the columns are read-only
+
+
+def test_result_survives_pickling():
+    import pickle
+
+    result = make_result([(1.0, 5.0), (3.0, 4.0)])
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone == result
+    assert list(clone.records) == list(result.records)
