@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from repro.extensions.mixed_sim import MixedBurstSimulator
 from repro.fusion.spec import FusionGroup, FusionPlan
 from repro.platform.billing import BillingModel
-from repro.platform.metrics import ExpenseBreakdown, InstanceRecord, RecordColumns, RunResult
+from repro.platform.metrics import ExpenseBreakdown, InstanceRecord, RunResult
 from repro.platform.providers import PlatformProfile
 from repro.platform.storage import StorageUsage
 
@@ -115,7 +115,7 @@ def attribute_expense(
     footprint share *of that instance*; the run-wide storage and egress
     charges split by I/O footprint (``count × io_mb``) across the plan.
     """
-    expense = billing.burst_expense(RecordColumns.from_records(records), storage)
+    expense = billing.burst_expense(records, storage)
     groups = plan.instance_groups()
 
     compute: dict[str, float] = {}

@@ -327,25 +327,11 @@ class RecordColumns:
     def materialize(self, index: Union[slice, np.ndarray]) -> list[InstanceRecord]:
         """Fresh records for the rows ``index`` selects (a slice or index array)."""
         values = []
-        built: list[tuple[bool, np.ndarray, list]] = []
         for name in _FIELD_NAMES:
             col = getattr(self, name)[index]
-            nones = name in _OPTIONAL_TIMES and bool(np.isnan(col).any())
-            # Records share value objects where the columns allow it, as
-            # records built one at a time do (exec_start is the ship
-            # completion instant): a column that repeats an earlier one
-            # reuses its items, and a single-valued column is one object.
-            items = next(
-                (it for n, c, it in built if n == nones and _same_bits(col, c)), None
-            )
-            if items is None:
-                if len(col) and _same_bits(col, np.broadcast_to(col[0], col.shape)):
-                    items = [col[0].item()] * len(col)
-                else:
-                    items = col.tolist()
-                if nones:
-                    items = [None if v != v else v for v in items]
-                built.append((nones, col, items))
+            items = col.tolist()
+            if name in _OPTIONAL_TIMES and np.isnan(col).any():
+                items = [None if v != v else v for v in items]
             values.append(items)
         return list(map(InstanceRecord, *values))
 
