@@ -10,6 +10,9 @@ equality — records, expense, fault stats — not approximate agreement.
 bursts.
 """
 
+from functools import partial
+
+import numpy as np
 import pytest
 
 from repro.chaos.auditor import InvariantAuditor
@@ -17,12 +20,15 @@ from repro.core.models import ExecutionTimeModel
 from repro.extensions.streaming import StreamingPolicy
 from repro.faults.retry import ExponentialBackoffRetry, HedgePolicy
 from repro.faults.scenario import FaultScenario
+from repro.platform import base
 from repro.platform.base import ServerlessPlatform
+from repro.platform.container import ContainerPipeline
 from repro.platform.invoker import BurstSpec
 from repro.platform.providers import AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS
 from repro.serving import FixedTTL, PoissonProcess, ServingSimulator, WarmPool
 from repro.telemetry import TelemetryConfig, TelemetrySession
-from repro.workloads import SORT, VIDEO, XAPIAN
+from repro.workloads import SMITH_WATERMAN, SORT, VIDEO, XAPIAN
+from tests.test_property_fluid import _run
 
 FAULTS = FaultScenario(
     name="modes",
@@ -102,6 +108,76 @@ def test_second_provider_fluid_equals_event_loop(event_loop_only, fluid_reasons)
     )
     assert reasons == [None]
     assert fluid == reference
+
+
+# --------------------------------------------------------------------- #
+# The batched frontier replay: tie and abort orders
+# --------------------------------------------------------------------- #
+
+def _both_outcomes(event_loop_only, fluid_reasons, profile, spec, seed):
+    """(default run, forced event-loop run): each a RunResult or its abort."""
+    with fluid_reasons() as reasons:
+        fast = _run(profile, spec, seed)
+    assert reasons == [None]
+    with event_loop_only():
+        reference = _run(profile, spec, seed)
+    return fast, reference
+
+
+def test_zero_dispatch_warm_start_inside_the_horizon(event_loop_only, fluid_reasons):
+    """With ``warm_dispatch_s=0`` a completion's warm start can precede
+    the next start the batch knows of, so the safe horizon must also be
+    bounded by the earliest pending completion (+ the dispatch delay)."""
+    spec = BurstSpec(
+        app=SMITH_WATERMAN,
+        concurrency=6,
+        packing_degree=1,
+        wave_size=2,
+        warm_dispatch_s=0.0,
+        skew_cv=0.3,
+    )
+    fast, reference = _both_outcomes(event_loop_only, fluid_reasons, AWS_LAMBDA, spec, 0)
+    assert fast == reference
+
+
+@pytest.mark.parametrize(
+    "exec_noise_sigma, warm_dispatch_s",
+    [(0.0, 0.0), (0.0, 0.05), (None, 0.0)],
+    ids=["noiseless", "noiseless-dispatch", "exec-noise"],
+)
+def test_exactly_tied_starts_and_completions_keep_event_order(
+    exec_noise_sigma, warm_dispatch_s, event_loop_only, fluid_reasons, monkeypatch
+):
+    """Noise-free builds: containers built together ship, and so start,
+    at the same instant. Without execution noise their completions and
+    the warm starts those spawn tie exactly too; with it, the tied starts
+    draw different noise, so their rank order shows in the records."""
+    monkeypatch.setattr(
+        base, "ContainerPipeline", partial(ContainerPipeline, build_noise_sigma=0.0)
+    )
+    profile = AWS_LAMBDA
+    if exec_noise_sigma is not None:
+        profile = profile.with_overrides(exec_noise_sigma=exec_noise_sigma)
+    spec = BurstSpec(
+        app=SORT, concurrency=2000, wave_size=300, warm_dispatch_s=warm_dispatch_s
+    )
+    fast, reference = _both_outcomes(event_loop_only, fluid_reasons, profile, spec, 3)
+    starts, ends = reference.columns.exec_start, reference.columns.exec_end
+    assert len(starts) - len(np.unique(starts)) > 100
+    assert (len(ends) - len(np.unique(ends)) > 1000) == (exec_noise_sigma == 0.0)
+    assert fast == reference
+
+
+def test_warm_generation_timeout_aborts_identically(event_loop_only, fluid_reasons):
+    """Every cold execution fits under the cap; a warm generation with a
+    heavy skew draw does not. The abort (message, record, bill) matches."""
+    profile = AWS_LAMBDA.with_overrides(max_execution_seconds=81.0)
+    spec = BurstSpec(
+        app=XAPIAN, concurrency=240, packing_degree=2, wave_size=20, skew_cv=1.0
+    )
+    fast, reference = _both_outcomes(event_loop_only, fluid_reasons, profile, spec, 0)
+    assert reference[0] == "timeout" and reference[2].warm_start
+    assert fast == reference
 
 
 # --------------------------------------------------------------------- #

@@ -9,8 +9,9 @@ build/ship/exec factors × input skew × billing fidelity, and:
 1. **Clean bursts take the fast path and equal the reference** — the
    default run is replayed in closed form (``fluid_ineligibility`` is
    ``None``) and its ``RunResult`` (records, expense, fault stats) ``==``
-   the forced event-loop run. A burst that aborts (billed timeout) must
-   abort identically on both paths.
+   the forced event-loop run. A burst that aborts (billed timeout, or a
+   fleet of 1-4 servers running out of slots) must abort identically on
+   both paths, with the earlier abort in event order winning.
 2. **Faulted and hedged bursts fall back** — ``fluid_ineligibility``
    names a reason and the default run equals the forced event-loop run.
 3. **The invariant library holds on both paths** —
@@ -19,6 +20,7 @@ build/ship/exec factors × input skew × billing fidelity, and:
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,25 +30,25 @@ from repro.faults.scenario import FaultScenario
 from repro.platform.base import ServerlessPlatform
 from repro.platform.invoker import BurstSpec, FunctionTimeoutError
 from repro.platform.providers import AWS_LAMBDA, AZURE_FUNCTIONS, GOOGLE_CLOUD_FUNCTIONS
-from repro.workloads import ALL_APPS
+from repro.workloads import ALL_APPS, XAPIAN
 
 PROVIDERS = (AWS_LAMBDA, GOOGLE_CLOUD_FUNCTIONS, AZURE_FUNCTIONS)
 
 
 @st.composite
-def providers(draw):
-    """A provider, possibly with billing-fidelity overrides."""
+def providers(draw, small_fleets=False):
+    """A provider, possibly with billing-fidelity overrides and, with
+    ``small_fleets``, a fleet of 1-4 servers (16-64 instance slots) that
+    a large cold wave exhausts."""
     profile = draw(st.sampled_from(PROVIDERS))
-    overrides = draw(
-        st.fixed_dictionaries(
-            {},
-            optional={
-                "billing_granularity_s": st.sampled_from([0.001, 0.1, 1.0]),
-                "min_billed_duration_s": st.sampled_from([0.1, 1.0, 60.0]),
-                "cpu_throttle_multiplier": st.floats(1.0, 2.0),
-            },
-        )
-    )
+    optional = {
+        "billing_granularity_s": st.sampled_from([0.001, 0.1, 1.0]),
+        "min_billed_duration_s": st.sampled_from([0.1, 1.0, 60.0]),
+        "cpu_throttle_multiplier": st.floats(1.0, 2.0),
+    }
+    if small_fleets:
+        optional["fleet_servers"] = st.integers(1, 4)
+    overrides = draw(st.fixed_dictionaries({}, optional=optional))
     return profile.with_overrides(**overrides) if overrides else profile
 
 
@@ -83,6 +85,8 @@ def _run(profile, spec, seed):
         return platform.run_burst(spec, repetition=0)
     except FunctionTimeoutError as err:
         return ("timeout", str(err), err.record, err.billed_usd)
+    except RuntimeError as err:  # the fleet ran out of instance slots
+        return ("exhausted", str(err))
 
 
 def _assert_clean(outcome, profile):
@@ -92,7 +96,9 @@ def _assert_clean(outcome, profile):
     assert not violations, "\n".join(str(v) for v in violations)
 
 
-@given(profile=providers(), spec=clean_specs(), seed=st.integers(0, 2**16))
+@given(
+    profile=providers(small_fleets=True), spec=clean_specs(), seed=st.integers(0, 2**16)
+)
 @settings(max_examples=40, deadline=None)
 def test_clean_burst_takes_fluid_and_equals_event_loop(
     profile, spec, seed, event_loop_only, fluid_reasons
@@ -104,6 +110,41 @@ def test_clean_burst_takes_fluid_and_equals_event_loop(
         reference = _run(profile, spec, seed)
     assert fast == reference
     _assert_clean(fast, profile)
+
+
+@pytest.mark.parametrize(
+    "slots, sched_search_s, cap_s, concurrency, seed, winner",
+    [
+        # The fleet fills at placement 100 (t = 1.0 s), before the first
+        # execution start (t = 1.2 s) would run past the 1 s cap.
+        (100, 1.6e-4, 1.0, 400, 0, "exhausted"),
+        # Slow placements: the first start past the 40 s cap comes before
+        # the fleet fills, and only because completions just before it
+        # have freed slots. Alone, the small fleet would be exhausted.
+        (16, 0.03, 40.0, 60, 368, "timeout"),
+    ],
+    ids=["exhaustion-first", "timeout-first"],
+)
+def test_timeout_and_fleet_exhaustion_abort_in_event_order(
+    slots, sched_search_s, cap_s, concurrency, seed, winner, event_loop_only, fluid_reasons
+):
+    """A burst that both times out and exhausts its one-server fleet
+    aborts with whichever comes first in event order, on both paths."""
+    profile = AWS_LAMBDA.with_overrides(
+        fleet_servers=1,
+        server_cores=6 * slots,
+        server_memory_mb=10240 * slots,
+        sched_search_s=sched_search_s,
+        max_execution_seconds=cap_s,
+    )
+    spec = BurstSpec(app=XAPIAN, concurrency=concurrency, skew_cv=1.0)
+    with fluid_reasons() as reasons:
+        fast = _run(profile, spec, seed)
+    assert reasons == [None]
+    with event_loop_only():
+        reference = _run(profile, spec, seed)
+    assert reference[0] == winner
+    assert fast == reference
 
 
 @st.composite
